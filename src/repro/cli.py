@@ -378,7 +378,7 @@ def cmd_bench(args) -> int:
     report = serial
     if args.jobs != 1:
         print(f"running with jobs={args.jobs}...", flush=True)
-        report = run_tasks(tasks, jobs=args.jobs, model=model, warm=args.warm)
+        report = run_tasks(tasks, jobs=args.jobs, model=model)
         print(f"  {report.mode} wall: {report.wall_s:.2f}s ({report.jobs} workers)")
         if serial is not None:
             report.serial_wall_s = serial.wall_s
@@ -667,10 +667,8 @@ def cmd_cluster_up(args) -> int:
         nodes=args.nodes,
         interval_s=args.interval,
         seed=args.seed,
-        max_frame_bytes=args.max_frame_bytes,
         per_host=args.per_host,
         codec=args.codec,
-        engine=args.engine,
         sample_interval_s=args.sample_interval,
     )
     launcher.up()
@@ -701,19 +699,13 @@ def cmd_cluster_up(args) -> int:
 def cmd_cluster_node(args) -> int:
     """Entrypoint for one node host process (spawned by ``cluster up``)."""
     from .cluster import run_node_host
-    from .rpc import set_max_frame_bytes
 
-    if args.max_frame_bytes is not None:
-        set_max_frame_bytes(args.max_frame_bytes)
-    if args.names:
-        names = [n.strip() for n in args.names.split(",") if n.strip()]
-    elif args.name:
-        names = [args.name]
-    else:
-        print("error: cluster node needs --names or --name", file=sys.stderr)
+    names = [n.strip() for n in args.names.split(",") if n.strip()]
+    if not names:
+        print("error: cluster node needs --names", file=sys.stderr)
         return 2
     return run_node_host(
-        names, args.dir, seed=args.seed, engine=args.engine,
+        names, args.dir, seed=args.seed,
         sample_interval_s=args.sample_interval,
     )
 
@@ -721,10 +713,7 @@ def cmd_cluster_node(args) -> int:
 def cmd_cluster_central(args) -> int:
     """Entrypoint for the central analysis daemon."""
     from .cluster import run_central
-    from .rpc import set_max_frame_bytes
 
-    if args.max_frame_bytes is not None:
-        set_max_frame_bytes(args.max_frame_bytes)
     return run_central(args.dir, interval_s=args.interval,
                        ops_port=args.serve or 0, codec=args.codec)
 
@@ -1087,11 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical (exit 1 on mismatch)",
     )
     bench.add_argument(
-        "--warm", action="store_true", default=None,
-        help="persistent warm-worker pool: spawn + pre-import workers "
-        "before the measured window (default: $ASDF_WARM_WORKERS)",
-    )
-    bench.add_argument(
         "--name", default="table2", help="benchmark name (BENCH_<name>.json)"
     )
     bench.add_argument(
@@ -1206,11 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--dir", default="out/cluster",
             help="shared state directory (runtime files, logs, stop marker)",
         )
-        sub.add_argument(
-            "--max-frame-bytes", type=int, default=None,
-            help="override the RPC frame-size limit for every daemon "
-            "(also settable via ASDF_MAX_FRAME_BYTES)",
-        )
 
     up = cluster_cmds.add_parser(
         "up", help="spawn central + N collection daemons, then supervise",
@@ -1227,10 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--codec", default="v2", choices=["v1", "v2"],
                     help="poll codec: v2 negotiates binary framing, "
                     "v1 pins JSON")
-    up.add_argument("--engine", default="fleet",
-                    choices=["fleet", "synthetic"],
-                    help="node telemetry source: the vectorized Hadoop "
-                    "fleet or the v1 synthetic generator")
     up.add_argument("--sample-interval", type=float, default=None,
                     help="node-host sampling cadence, wall seconds "
                     "(default: max(0.25, --interval))")
@@ -1240,15 +1215,11 @@ def build_parser() -> argparse.ArgumentParser:
         "node", help="one node host process (spawned by 'cluster up')",
     )
     _cluster_common(node)
-    node.add_argument("--name", default=None, help="single daemon name")
-    node.add_argument("--names", default=None,
+    node.add_argument("--names", required=True,
                       help="comma-separated logical node names this host "
                       "process serves")
     node.add_argument("--seed", type=int, default=0,
                       help="RNG seed for this host's load")
-    node.add_argument("--engine", default="fleet",
-                      choices=["fleet", "synthetic"],
-                      help="telemetry source for this host's nodes")
     node.add_argument("--sample-interval", type=float, default=0.5,
                       help="sampler-thread cadence, wall seconds")
     node.set_defaults(handler=cmd_cluster_node)
@@ -1283,7 +1254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node to SIGKILL (default: last)")
     drive.add_argument("--fault-kind", default="cpuhog",
                        choices=["cpuhog", "diskhog"],
-                       help="synthetic load perturbation to inject")
+                       help="load perturbation to inject")
     drive.add_argument("--shutdown", action="store_true",
                        help="leave the stop marker when done so 'cluster "
                        "up' exits")

@@ -24,8 +24,8 @@ from .driver import (
 )
 from .federation import MetricsFederator, render_snapshot_prometheus
 from .launcher import ClusterLauncher
-from .load import FleetLoad, FleetNodeLoad, SyntheticNodeLoad
-from .nodeproc import run_node, run_node_host
+from .load import FleetLoad, FleetNodeLoad
+from .nodeproc import run_node_host
 from .state import (
     DaemonRuntime,
     list_runtimes,
@@ -45,7 +45,6 @@ __all__ = [
     "FleetLoad",
     "FleetNodeLoad",
     "MetricsFederator",
-    "SyntheticNodeLoad",
     "check_cluster_scale_gate",
     "list_runtimes",
     "pid_alive",
@@ -54,7 +53,6 @@ __all__ = [
     "request_stop",
     "run_central",
     "run_drive",
-    "run_node",
     "run_node_host",
     "run_scale_drive",
     "stop_requested",

@@ -99,7 +99,7 @@ class CentralDaemon:
         name: str = "central",
         codec: str = "v2",
     ) -> None:
-        if codec not in ("v1", "v2", "json", "bin"):
+        if codec not in ("v1", "v2"):
             raise ValueError(f"unknown poll codec {codec!r}")
         self.state_dir = state_dir
         self.interval_s = interval_s
@@ -108,7 +108,7 @@ class CentralDaemon:
         self.name = name
         #: Poll codec: "v2" negotiates binary framing, "v1" pins the
         #: clients to v1-style JSON hellos (the measured comparison).
-        self.codec = "v2" if codec in ("v2", "bin") else "v1"
+        self.codec = codec
         self.telemetry = Telemetry(trace=True)
         self.telemetry.tracer.process_name = name
         self.observatory = Observatory(telemetry=self.telemetry)
@@ -275,28 +275,21 @@ class CentralDaemon:
     def round(self) -> None:
         """One pipelined collection + detection round across every peer.
 
-        Every connected peer gets one request in flight simultaneously
-        (``poll_many`` when the daemon batches windows, ``sample``
-        against v1 daemons); the selectors-based poller drains responses
-        in arrival order, so round time tracks the *slowest* node, not
-        the sum of all of them.
+        Every connected peer gets one ``poll_many`` request in flight
+        simultaneously; the selectors-based poller drains responses in
+        arrival order, so round time tracks the *slowest* node, not the
+        sum of all of them.
         """
         round_started = time.perf_counter()
         self._drain_commands()
         self._refresh_peers()
         now = time.time()  # fpt: noqa[FPT201] -- wall-clock poll cadence is the paper's real deployment mode
         trace = TraceContext.new_root(origin=f"{self.name}@pid{os.getpid()}")
-        calls: Dict[str, Any] = {}
-        for peer in self._peers.values():
-            if peer.client is None:
-                continue
-            if "poll_many" in peer.client.methods:
-                calls[peer.name] = (
-                    peer.client, "poll_many",
-                    {"now": now, "max_windows": MAX_WINDOWS_PER_POLL},
-                )
-            else:
-                calls[peer.name] = (peer.client, "sample", {"now": now})
+        params = {"now": now, "max_windows": MAX_WINDOWS_PER_POLL}
+        calls = {
+            peer.name: (peer.client, "poll_many", params)
+            for peer in self._peers.values() if peer.client is not None
+        }
         outcomes = self._poller.poll(
             calls, trace=trace,
             timeout_s=max(2.0, self.interval_s * 8.0),
@@ -327,16 +320,12 @@ class CentralDaemon:
         self._publish_stats()
 
     def _ingest(self, peer: _NodePeer, result: Any, now: float) -> None:
-        """Fold one poll result (a window batch or one sample) into the
-        peer's state.  ``None`` is a v1 daemon's priming sample."""
-        if result is None:
+        """Fold one ``poll_many`` window batch into the peer's state."""
+        if not isinstance(result, dict):
             return
-        if isinstance(result, dict) and "windows" in result:
-            windows = [w for w in result["windows"] if isinstance(w, dict)]
-        elif isinstance(result, dict):
-            windows = [result]
-        else:
-            return
+        windows = [
+            w for w in result.get("windows") or () if isinstance(w, dict)
+        ]
         if not windows:
             return
         arrival_wall = time.time()  # fpt: noqa[FPT201] -- end-to-end alarm latency is measured on the wall clock

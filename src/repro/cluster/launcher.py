@@ -68,24 +68,20 @@ class ClusterLauncher:
 
     ``per_host`` packs that many logical node daemons into each host
     process; ``codec`` pins the central's poll codec (``"v2"`` binary,
-    ``"v1"`` JSON); ``engine`` selects the node load source (``"fleet"``
-    vectorized simulator, ``"synthetic"`` the v1 generator).
+    ``"v1"`` JSON).
     """
 
     def __init__(self, state_dir: str, nodes: int = 3,
                  interval_s: float = 0.5, seed: int = 1,
-                 max_frame_bytes: Optional[int] = None,
                  per_host: int = DEFAULT_PER_HOST,
-                 codec: str = "v2", engine: str = "fleet",
+                 codec: str = "v2",
                  sample_interval_s: Optional[float] = None) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.nodes = nodes
         self.interval_s = interval_s
         self.seed = seed
-        self.max_frame_bytes = max_frame_bytes
         self.per_host = max(1, int(per_host))
         self.codec = codec
-        self.engine = engine
         self.sample_interval_s = (
             sample_interval_s if sample_interval_s is not None
             else max(0.25, interval_s)
@@ -97,12 +93,6 @@ class ClusterLauncher:
         os.makedirs(self.state_dir, exist_ok=True)
 
     # -- spawning ------------------------------------------------------------
-
-    def _common_flags(self) -> List[str]:
-        flags = ["--dir", self.state_dir]
-        if self.max_frame_bytes is not None:
-            flags += ["--max-frame-bytes", str(self.max_frame_bytes)]
-        return flags
 
     def host_groups(self) -> List[List[int]]:
         """Node indices grouped ``per_host`` per host process."""
@@ -119,23 +109,18 @@ class ClusterLauncher:
         child = _spawn(
             ["cluster", "node", "--names", ",".join(names),
              "--seed", str(self.seed + indices[0]),
-             "--engine", self.engine,
              "--sample-interval", str(self.sample_interval_s),
-             *self._common_flags()],
+             "--dir", self.state_dir],
             os.path.join(self.state_dir, f"{names[0]}.log"),
         )
         self._children[key] = child
         self._host_groups[key] = list(indices)
         return child
 
-    def spawn_node(self, index: int) -> subprocess.Popen:
-        """Spawn a single-node host (used for respawns of v1 layouts)."""
-        return self.spawn_host([index])
-
     def spawn_central(self) -> subprocess.Popen:
         child = _spawn(
             ["cluster", "central", "--interval", str(self.interval_s),
-             "--codec", self.codec, *self._common_flags()],
+             "--codec", self.codec, "--dir", self.state_dir],
             os.path.join(self.state_dir, "central.log"),
         )
         self._children["central"] = child

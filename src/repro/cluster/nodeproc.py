@@ -11,16 +11,14 @@ node publishes its own runtime file (so central discovery is unchanged
 whether nodes are packed 1- or 16-per-host), all sharing the host's ops
 port; 100 logical nodes land on ~13 processes instead of 100.
 
-A single **sampler thread** drives collection in push mode: every
+A single **sampler thread** drives collection: every
 ``sample_interval_s`` it advances the shared fleet once and buffers one
 window into every daemon, decoupling sampling cadence from the
 central's poll cadence -- the central then drains the buffered windows
 batch-wise via ``poll_many``.
 
 The process exits on SIGTERM/SIGINT, on the cluster's stop marker, or
-on an ops ``/shutdown``.  ``engine="synthetic"`` restores the v1
-per-node :class:`~repro.cluster.load.SyntheticNodeLoad` pull path for
-comparison runs.
+on an ops ``/shutdown``.
 """
 
 from __future__ import annotations
@@ -29,15 +27,15 @@ import os
 import signal
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..obsv import Observatory, OpsServer
 from ..rpc import ClusterNodeDaemon, RpcServer
 from ..telemetry import Telemetry
-from .load import FleetLoad, SyntheticNodeLoad
+from .load import FleetLoad
 from .state import DaemonRuntime, stop_requested, write_runtime
 
-__all__ = ["run_node", "run_node_host"]
+__all__ = ["run_node_host"]
 
 #: How often the idle loop checks its exit conditions.
 POLL_S = 0.2
@@ -63,8 +61,6 @@ def run_node_host(
     names: Sequence[str],
     state_dir: str,
     seed: int = 0,
-    num_cpus: int = 4,
-    engine: str = "fleet",
     sample_interval_s: float = SAMPLE_INTERVAL_S,
 ) -> int:
     """Run one host process serving ``names`` until asked to stop."""
@@ -83,22 +79,8 @@ def run_node_host(
     telemetry = Telemetry(trace=True)
     telemetry.tracer.process_name = label
 
-    daemons: List[ClusterNodeDaemon] = []
-    fleet: Optional[FleetLoad] = None
-    if engine == "fleet":
-        fleet = FleetLoad(names, seed=seed)
-        for name in names:
-            daemons.append(
-                ClusterNodeDaemon(name, fleet.view(name), buffered=True)
-            )
-    elif engine == "synthetic":
-        for index, name in enumerate(names):
-            load = SyntheticNodeLoad(
-                name, seed=(seed + index) if seed else 0, num_cpus=num_cpus
-            )
-            daemons.append(ClusterNodeDaemon(name, load))
-    else:
-        raise ValueError(f"unknown node engine {engine!r}")
+    fleet = FleetLoad(names, seed=seed)
+    daemons = [ClusterNodeDaemon(name, fleet.view(name)) for name in names]
 
     servers = [
         RpcServer(daemon, service=f"sadc@{daemon.node}", telemetry=telemetry)
@@ -115,13 +97,11 @@ def run_node_host(
             started_wall=time.time(),  # fpt: noqa[FPT201] -- runtime metadata stamp, not scenario state
         ))
 
-    sampler: Optional[threading.Thread] = None
-    if fleet is not None:
-        sampler = threading.Thread(
-            target=_sampler_loop, args=(daemons, fleet, sample_interval_s, stop),
-            name=f"sampler-{label}", daemon=True,
-        )
-        sampler.start()
+    sampler = threading.Thread(
+        target=_sampler_loop, args=(daemons, fleet, sample_interval_s, stop),
+        name=f"sampler-{label}", daemon=True,
+    )
+    sampler.start()
     try:
         while not stop.is_set():
             if ops.shutdown_requested.is_set() or stop_requested(state_dir):
@@ -129,17 +109,9 @@ def run_node_host(
             time.sleep(POLL_S)
     finally:
         stop.set()
-        if sampler is not None:
-            sampler.join(timeout=5.0)
+        sampler.join(timeout=5.0)
         for server in servers:
             server.stop()
         ops.stop()
     return 0
 
-
-def run_node(name: str, state_dir: str, seed: int = 0,
-             num_cpus: int = 4, engine: str = "fleet") -> int:
-    """Run one single-node collection daemon (compatibility wrapper)."""
-    return run_node_host(
-        [name], state_dir, seed=seed, num_cpus=num_cpus, engine=engine
-    )

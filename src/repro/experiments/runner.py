@@ -21,14 +21,6 @@ the harness, not the workload.  This module is the harness fix:
   return the :func:`.persist.result_payload` plain-data document, so a
   parallel run is byte-comparable -- and byte-identical -- to a serial
   one.
-* **Warm-worker mode** (``warm=True`` or ``$ASDF_WARM_WORKERS=1``)
-  keeps one process pool alive across :func:`run_tasks` calls: workers
-  are spawned once, eagerly pre-import the whole scenario stack in the
-  initializer, and cache each shipped model document by digest so the
-  matrix proper streams task chunks into already-hot interpreters.
-  Worker spawn + import cost (the fixed overhead that kept jobs=2
-  speedup below 1.0 on short matrices) is paid before the measured
-  window instead of inside it.
 * :class:`EngineReport` carries per-task wall/CPU timings (also surfaced
   through :meth:`.telemetry.Telemetry.record_task`) and serializes to
   the ``BENCH_<name>.json`` trajectory files via
@@ -37,7 +29,6 @@ the harness, not the workload.  This module is the harness fix:
 
 from __future__ import annotations
 
-import atexit
 import gc
 import hashlib
 import json
@@ -79,10 +70,8 @@ __all__ = [
     "parity_mismatches",
     "run_tasks",
     "scenario_matrix",
-    "shutdown_warm_pool",
     "table2_matrix",
     "training_signature",
-    "warm_workers_enabled",
     "write_bench_json",
 ]
 
@@ -90,8 +79,6 @@ __all__ = [
 BENCH_DIR_ENV = "ASDF_BENCH_DIR"
 #: Format tag of the emitted benchmark trajectory files.
 BENCH_FORMAT = "asdf-bench/1"
-#: Environment gate for the persistent warm-worker pool.
-WARM_WORKERS_ENV = "ASDF_WARM_WORKERS"
 
 
 # --------------------------------------------------------------------------
@@ -247,56 +234,52 @@ class ModelCache:
 # Worker protocol
 # --------------------------------------------------------------------------
 
-#: Per-worker state installed by :func:`_install_models`: raw JSON
-#: payloads, the models materialized from them (lazily, per key), and
-#: the digest of the installed document (so a warm worker re-receiving
-#: the same models with every chunk skips the re-parse).
+#: Per-worker state installed by :func:`_worker_init`: raw JSON
+#: payloads and the models materialized from them (lazily, per key).
 _worker_payloads: Dict[str, dict] = {}
 _worker_models: Dict[str, BlackBoxModel] = {}
-_worker_models_digest: Optional[str] = None
 
 
-def _install_models(models_json: str) -> None:
-    """(Worker side) parse and cache the parent's trained models.
+def _start_on_own_cpu(slots: Any) -> None:
+    """(Worker side) move this worker onto its own CPU, once.
 
-    Idempotent per document: warm-pool chunks each carry the models
-    JSON, so the digest check makes every chunk after the first a
-    no-op -- the "pre-load the model payload once" half of warm mode.
+    Forked workers start on the parent's CPU, and on some VMs the
+    scheduler leaves them sharing it for about a second when the other
+    CPUs had been idle -- long enough to halve a short matrix's
+    speedup.  Worker ``i`` (numbered through the shared ``slots``
+    counter) is pinned to the ``i``-th allowed CPU, which migrates it
+    there at once, and then unpinned so the scheduler stays free to
+    balance it later.  A platform without affinity calls skips this.
     """
-    global _worker_payloads, _worker_models, _worker_models_digest
-    digest = hashlib.sha256(models_json.encode("utf-8")).hexdigest()
-    if digest == _worker_models_digest:
+    if not hasattr(os, "sched_setaffinity"):
         return
+    with slots.get_lock():
+        index = slots.value
+        slots.value += 1
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # a placement hint only; the pool works without it
+
+
+def _worker_init(models_json: str, slots: Optional[Any] = None) -> None:
+    """Pool initializer: receive the parent's trained models as JSON.
+
+    ``slots`` (a shared counter, pool workers only) spreads the workers
+    over the CPUs; the in-process serial path passes none.
+    """
+    global _worker_payloads, _worker_models
+    if slots is not None:
+        _start_on_own_cpu(slots)
     _worker_payloads = json.loads(models_json)
     _worker_models = {}
-    _worker_models_digest = digest
-
-
-def _worker_init(models_json: str) -> None:
-    """Pool initializer: receive the parent's trained models as JSON."""
-    _install_models(models_json)
     # Freeze everything imported/parsed so far out of the cyclic GC's
     # generations: workers churn through millions of short-lived sim
     # objects, and rescanning the permanent interpreter/model state on
     # every collection is pure overhead (it also keeps forked pages
     # copy-on-write-clean on POSIX).
-    gc.freeze()
-
-
-def _warm_init() -> None:
-    """Warm-pool initializer: pre-import the scenario stack eagerly.
-
-    A cold worker pays the whole ``run_scenario`` import graph (NumPy,
-    the vectorized simulator, the model code) inside the first task's
-    measured wall time; a warm worker pays it here, once, before any
-    matrix is dispatched.
-    """
-    from ..hadoop import cluster as _cluster  # noqa: F401
-    from ..sim import vec as _vec  # noqa: F401
-    from . import model as _model  # noqa: F401
-    from . import persist as _persist  # noqa: F401
-    from . import scenario as _scenario  # noqa: F401
-
     gc.freeze()
 
 
@@ -365,7 +348,7 @@ class EngineReport:
     """Everything one engine invocation did, ready for ``BENCH_*`` export."""
 
     jobs: int
-    mode: str  # "process-pool", "warm-pool", "serial", or "serial-fallback"
+    mode: str  # "process-pool", "serial", or "serial-fallback"
     wall_s: float
     results: List[TaskResult]
     model_keys: Tuple[str, ...] = ()
@@ -489,106 +472,19 @@ def _execute_chunk(
     return [_execute_task(item) for item in chunk]
 
 
-def _execute_chunk_warm(
-    models_json: str,
-    chunk: List[Tuple[str, Dict[str, Any], Optional[str]]],
-) -> List[Tuple[str, Dict[str, Any], float, float, str]]:
-    """Warm-pool chunk: carry the models (digest-cached worker side).
-
-    The persistent pool outlives any single :func:`run_tasks` call, so
-    its initializer cannot receive run-specific models; each chunk
-    ships them instead and :func:`_install_models` deduplicates.
-    """
-    _install_models(models_json)
-    return [_execute_task(item) for item in chunk]
-
-
-# --------------------------------------------------------------------------
-# Persistent warm-worker pool
-# --------------------------------------------------------------------------
-
-_warm_pool: Optional[Any] = None
-_warm_pool_jobs = 0
-_warm_atexit_registered = False
-
-
-def warm_workers_enabled() -> bool:
-    """Whether ``$ASDF_WARM_WORKERS`` asks for the persistent pool."""
-    return os.environ.get(WARM_WORKERS_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-def shutdown_warm_pool() -> None:
-    """Tear down the persistent pool (also runs at interpreter exit)."""
-    global _warm_pool, _warm_pool_jobs
-    pool = _warm_pool
-    _warm_pool = None
-    _warm_pool_jobs = 0
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _warm_spin(delay_s: float) -> str:
-    """(Worker side) trivial task used to force worker spawn-up."""
-    time.sleep(delay_s)
-    return f"pid:{os.getpid()}"
-
-
-def _warm_pool_for(jobs: int):
-    """The persistent pool at ``jobs`` workers, spawning + priming it on
-    first use (or when the worker count changed).
-
-    Priming submits one short busy task per worker so every process is
-    forked/spawned and has finished :func:`_warm_init` *before* the
-    caller starts its measured window -- that is the entire point of
-    warm mode.
-    """
-    global _warm_pool, _warm_pool_jobs, _warm_atexit_registered
-    if _warm_pool is not None and _warm_pool_jobs != jobs:
-        shutdown_warm_pool()
-    if _warm_pool is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_warm_init)
-        # Each spin sleeps long enough that one worker cannot drain the
-        # whole batch, so the executor actually spawns all ``jobs``
-        # processes now rather than lazily mid-matrix.
-        for future in [pool.submit(_warm_spin, 0.05) for _ in range(jobs)]:
-            future.result()
-        _warm_pool = pool
-        _warm_pool_jobs = jobs
-        if not _warm_atexit_registered:
-            atexit.register(shutdown_warm_pool)
-            _warm_atexit_registered = True
-    return _warm_pool
-
-
-def _warm_pool_results(
-    items: List[Tuple[str, Dict[str, Any], Optional[str]]],
-    jobs: int,
-    models_json: str,
-):
-    """Dispatch chunks on the persistent pool, yielding in order."""
-    pool = _warm_pool_for(jobs)
-    futures = [
-        pool.submit(_execute_chunk_warm, models_json, chunk)
-        for chunk in _chunk_items(items, jobs)
-    ]
-    for future in futures:
-        yield from future.result()
-
-
 def _pool_results(
     items: List[Tuple[str, Dict[str, Any], Optional[str]]],
     jobs: int,
     models_json: str,
 ):
     """Dispatch chunks on a process pool, yielding in submission order."""
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    slots = multiprocessing.Value("i", 0)
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(models_json,)
+        max_workers=jobs, initializer=_worker_init,
+        initargs=(models_json, slots),
     ) as pool:
         futures = [
             pool.submit(_execute_chunk, chunk)
@@ -605,7 +501,6 @@ def run_tasks(
     model_cache: Optional[ModelCache] = None,
     training_duration_s: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
-    warm: Optional[bool] = None,
 ) -> EngineReport:
     """Execute an experiment matrix, parallel across processes.
 
@@ -619,16 +514,8 @@ def run_tasks(
     environment where a process pool cannot be created -- executes the
     identical task path serially in-process; results are byte-identical
     either way.
-
-    ``warm`` (default: ``$ASDF_WARM_WORKERS``) runs on the persistent
-    warm pool: workers are spawned + primed before the measured wall
-    window starts and survive for the next call.  Results are the same
-    bytes as cold-pool and serial runs; only where the fixed startup
-    cost lands changes.
     """
     jobs = int(jobs) if jobs > 0 else (os.cpu_count() or 1)
-    if warm is None:
-        warm = warm_workers_enabled()
     cache = model_cache if model_cache is not None else ModelCache()
 
     items: List[Tuple[str, Dict[str, Any], Optional[str]]] = []
@@ -644,22 +531,12 @@ def run_tasks(
         payloads = cache.payloads()
     models_json = json.dumps(payloads, sort_keys=True)
 
-    mode = "serial" if jobs == 1 else ("warm-pool" if warm else "process-pool")
-    if mode == "warm-pool":
-        # Spawn + prime the persistent workers before the measured
-        # window opens; a pool that cannot start downgrades to cold.
-        try:
-            _warm_pool_for(jobs)
-        except (ImportError, OSError, PermissionError, NotImplementedError):
-            mode = "process-pool"
+    mode = "serial" if jobs == 1 else "process-pool"
     wall_started = time.perf_counter()
     raw: List[Tuple[str, Dict[str, Any], float, float, str]] = []
     if jobs > 1:
         try:
-            dispatch = (
-                _warm_pool_results if mode == "warm-pool" else _pool_results
-            )
-            raw = list(dispatch(items, jobs, models_json))
+            raw = list(_pool_results(items, jobs, models_json))
         except (ImportError, OSError, PermissionError, NotImplementedError) as exc:
             warnings.warn(
                 f"process pool unavailable ({type(exc).__name__}: {exc}); "

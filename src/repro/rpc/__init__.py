@@ -45,8 +45,6 @@ from .protocol import (
     make_request,
     make_response,
     make_welcome,
-    max_frame_bytes,
-    set_max_frame_bytes,
     wire_bytes,
 )
 from .server import RpcServer, dispatch, handler_methods
@@ -87,7 +85,5 @@ __all__ = [
     "make_request",
     "make_response",
     "make_welcome",
-    "max_frame_bytes",
-    "set_max_frame_bytes",
     "wire_bytes",
 ]

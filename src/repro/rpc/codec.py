@@ -46,6 +46,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from . import protocol
 from .protocol import (
     ProtocolError,
     _LENGTH,
@@ -53,7 +54,6 @@ from .protocol import (
     decode_frame,
     encode_frame,
     make_request,
-    max_frame_bytes,
 )
 
 __all__ = [
@@ -122,7 +122,7 @@ def frame_length(data: bytes, peer: str = "") -> Optional[int]:
     if len(data) < _LENGTH.size:
         return None
     (length,) = _LENGTH.unpack_from(data)
-    limit = max_frame_bytes()
+    limit = protocol.MAX_FRAME_BYTES
     if length > limit:
         raise ProtocolError(
             f"frame length {length} exceeds maximum {limit}"
@@ -216,7 +216,7 @@ def _unpack_trace(reader: _Reader) -> Dict[str, Any]:
 # -- encoding -----------------------------------------------------------------
 
 def _frame(body: bytes, peer: str = "") -> bytes:
-    limit = max_frame_bytes()
+    limit = protocol.MAX_FRAME_BYTES
     if len(body) > limit:
         raise ProtocolError(
             f"frame too large: {len(body)} bytes > limit {limit}"

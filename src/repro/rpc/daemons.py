@@ -193,22 +193,16 @@ class ClusterNodeDaemon:
     source advances the node's ``/proc`` counters to *wall-clock* time,
     and the sadc sampler differences the snapshots -- so the whole
     collect path (load -> ``/proc`` counters -> sadc rates -> RPC frame)
-    runs at real speed over real sockets.  ``load`` is duck-typed (see
-    :class:`repro.cluster.load.FleetNodeLoad` /
-    :class:`repro.cluster.load.SyntheticNodeLoad`): it must expose
-    ``procfs``, ``advance_to(wall_s)``, ``inject(kind, intensity)``,
-    ``clear()`` and ``active_fault``.
+    runs at real speed over real sockets.  ``load`` is a
+    :class:`repro.cluster.load.FleetNodeLoad` (or anything with its
+    ``procfs``, ``advance_to(wall_s)``, ``sample_time()``,
+    ``inject(kind, intensity)``, ``clear()`` and ``active_fault``).
 
-    Two collection modes:
-
-    * **pull** (``buffered=False``): every ``rpc_sample`` advances the
-      load and samples inline -- the v1 behaviour, one window per poll.
-    * **push** (``buffered=True``): the host process's sampler loop
-      calls :meth:`buffer_sample` on its own cadence and polls drain the
-      buffered windows (``rpc_poll_many`` batch-wise, ``rpc_sample`` the
-      newest) -- sampling cadence decouples from poll cadence, which is
-      what keeps per-node sample rate flat as the central fans in
-      hundreds of nodes.
+    The host process's sampler loop calls :meth:`buffer_sample` on its
+    own cadence and polls drain the buffered windows batch-wise through
+    :meth:`rpc_poll_many`, so sampling cadence decouples from poll
+    cadence -- which is what keeps per-node sample rate flat as the
+    central fans in hundreds of nodes.
 
     ``metric_names`` is the interned catalog codec v2 packs sample rows
     against; the RPC server advertises it in its welcome.
@@ -217,10 +211,9 @@ class ClusterNodeDaemon:
     #: Interned metric catalog for binary sample framing (codec v2).
     metric_names = tuple(NODE_METRICS)
 
-    def __init__(self, node: str, load: Any, buffered: bool = False) -> None:
+    def __init__(self, node: str, load: Any) -> None:
         self.node = node
         self.load = load
-        self.buffered = buffered
         self._sadc = Sadc(load.procfs)
         # deque append/popleft are atomic; single producer (sampler
         # loop) + single consumer (the node's one poller connection).
@@ -233,14 +226,11 @@ class ClusterNodeDaemon:
 
     def _collect_window(self, ts: float) -> Optional[Dict[str, Any]]:
         self.load.advance_to(ts)
-        sample_time = getattr(self.load, "sample_time", None)
-        if sample_time is not None:
-            # Fleet loads tick in fixed sim quanta: collect against the
-            # quantized clock so every window's counter deltas span whole
-            # ticks.  A wall interval that held no tick yields elapsed 0
-            # and no window -- a zero-delta window would read as 0% idle.
-            ts = sample_time()
-        sample = self._sadc.collect(ts)
+        # The fleet ticks in fixed sim quanta: collect against the
+        # quantized clock so every window's counter deltas span whole
+        # ticks.  A wall interval that held no tick yields elapsed 0 and
+        # no window -- a zero-delta window would read as 0% idle.
+        sample = self._sadc.collect(self.load.sample_time())
         if sample is None:
             return None
         return {
@@ -251,7 +241,7 @@ class ClusterNodeDaemon:
         }
 
     def buffer_sample(self, now: Optional[float] = None) -> bool:
-        """One sampler-loop iteration (push mode): collect + enqueue.
+        """One sampler-loop iteration: collect + enqueue.
 
         Returns True when a window was buffered (False while priming).
         Called only from the host process's sampler thread.
@@ -266,61 +256,26 @@ class ClusterNodeDaemon:
             self._windows.append(window)
             return True
 
-    def rpc_sample(self, now: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """One collection iteration; ``None`` while priming.
-
-        ``now`` defaults to the daemon's own wall clock; the central
-        poller passes its clock so both ends agree on the nominal
-        timestamp.  ``emit_wall`` stamps the instant the sample left the
-        handler, which is what end-to-end alarm latency measures against.
-        In push mode this serves the *newest* buffered window (v1
-        pollers keep working against a buffered daemon).
-        """
-        with self.meter:
-            if self.buffered:
-                window = None
-                while self._windows:  # keep only the newest
-                    window = self._windows.popleft()
-                if window is None:
-                    return None
-                self.samples_served += 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_sample
-                return window
-            ts = float(now) if now is not None else time.time()  # fpt: noqa[FPT201] -- live-mode fallback when the poller sends no nominal clock
-            window = self._collect_window(ts)
-            if window is None:
-                return None
-            self.samples_served += 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_sample
-            return window
-
     def rpc_poll_many(
         self, now: Optional[float] = None,
         max_windows: float = DEFAULT_MAX_WINDOWS,
     ) -> Dict[str, Any]:
         """Drain up to ``max_windows`` buffered collection windows.
 
-        The batched poll path: one request/response round-trip carries
-        every window accumulated since the previous poll, so poll
-        cadence and sampling cadence decouple.  In pull mode (no sampler
-        loop) it degrades to at most one inline sample, so the method is
-        always safe to call.
+        One request/response round-trip carries every window accumulated
+        since the previous poll.  ``now`` is the poller's clock; windows
+        carry their own sample timestamps, so it is not consulted.
         """
         with self.meter:
             limit = max(1, int(max_windows))
             windows: List[Dict[str, Any]] = []
-            if self.buffered:
-                while self._windows and len(windows) < limit:
-                    windows.append(self._windows.popleft())
-            else:
-                window = self._collect_window(
-                    float(now) if now is not None else time.time()  # fpt: noqa[FPT201] -- live-mode fallback when the poller sends no nominal clock
-                )
-                if window is not None:
-                    windows.append(window)
+            while self._windows and len(windows) < limit:
+                windows.append(self._windows.popleft())
             self.samples_served += len(windows)  # fpt: noqa[FPT401] -- single writer: one poller connection serializes polls
             return {"node_name": self.node, "windows": windows}
 
     def rpc_inject(self, kind: str, intensity: float = 1.0) -> Dict[str, Any]:
-        """Start perturbing this node's synthetic load (cpuhog/diskhog)."""
+        """Start perturbing this node's load (cpuhog/diskhog)."""
         with self.meter:
             self.load.inject(kind, float(intensity))
             return {"node": self.node, "fault": kind}
@@ -340,7 +295,6 @@ class ClusterNodeDaemon:
                 "samples_served": self.samples_served,
                 "cpu_seconds": self.meter.cpu_seconds,
                 "fault": self.load.active_fault,
-                "buffered": self.buffered,
                 "windows_pending": len(self._windows),
                 "windows_dropped": self.windows_dropped,
             }

@@ -29,16 +29,10 @@ from typing import Any, Dict, Optional, Tuple
 
 PROTOCOL_VERSION = 2
 
-#: Default maximum accepted frame payload, bytes (sanity bound against
-#: garbage).  The effective limit is :func:`max_frame_bytes`, which
-#: honours the ``ASDF_MAX_FRAME_BYTES`` environment variable and
-#: :func:`set_max_frame_bytes` (the CLI's ``--max-frame-bytes``), so a
-#: cluster deployment can tighten or relax the bound per daemon.
+#: Maximum accepted frame payload, bytes (sanity bound against
+#: garbage).  Every encoder and decoder, JSON and binary, reads it at
+#: call time.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-#: Runtime override installed by :func:`set_max_frame_bytes`; takes
-#: precedence over the environment variable.
-_max_frame_override: Optional[int] = None
 
 _LENGTH = struct.Struct(">I")
 
@@ -62,32 +56,6 @@ class RemoteError(Exception):
     """The remote handler raised; message carries the remote detail."""
 
 
-def max_frame_bytes() -> int:
-    """The effective frame-size limit for this process.
-
-    Resolution order: :func:`set_max_frame_bytes` override, then the
-    ``ASDF_MAX_FRAME_BYTES`` environment variable, then the baked-in
-    :data:`MAX_FRAME_BYTES` default.
-    """
-    if _max_frame_override is not None:
-        return _max_frame_override
-    env = os.environ.get("ASDF_MAX_FRAME_BYTES")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            return MAX_FRAME_BYTES
-        if value > 0:
-            return value
-    return MAX_FRAME_BYTES
-
-
-def set_max_frame_bytes(limit: Optional[int]) -> None:
-    """Install (or clear with ``None``) a process-wide frame-size limit."""
-    global _max_frame_override
-    _max_frame_override = int(limit) if limit is not None else None
-
-
 def _peer_suffix(peer: str) -> str:
     return f" (peer {peer})" if peer else ""
 
@@ -99,7 +67,7 @@ def encode_frame(payload: Dict[str, Any], peer: str = "") -> bytes:
     oversized-frame kills are attributable in cluster logs.
     """
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    limit = max_frame_bytes()
+    limit = MAX_FRAME_BYTES
     if len(body) > limit:
         raise ProtocolError(
             f"frame too large: {len(body)} bytes > limit {limit}"
@@ -121,7 +89,7 @@ def decode_frame(data: bytes, peer: str = "") -> Tuple[Dict[str, Any], int]:
             f"short frame: missing length prefix{_peer_suffix(peer)}"
         )
     (length,) = _LENGTH.unpack_from(data)
-    limit = max_frame_bytes()
+    limit = MAX_FRAME_BYTES
     if length > limit:
         raise ProtocolError(
             f"frame length {length} exceeds maximum {limit}"

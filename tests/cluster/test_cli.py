@@ -8,7 +8,7 @@ class TestParser:
         parser = build_parser()
         cases = [
             (["cluster", "up", "--nodes", "5"], "cmd_cluster_up"),
-            (["cluster", "node", "--name", "n1"], "cmd_cluster_node"),
+            (["cluster", "node", "--names", "n1"], "cmd_cluster_node"),
             (["cluster", "central", "--interval", "0.1"],
              "cmd_cluster_central"),
             (["cluster", "drive", "--out", "x"], "cmd_cluster_drive"),
@@ -17,13 +17,6 @@ class TestParser:
         for argv, handler_name in cases:
             args = parser.parse_args(argv)
             assert args.handler.__name__ == handler_name
-
-    def test_max_frame_bytes_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["cluster", "node", "--name", "n1", "--max-frame-bytes", "4096"]
-        )
-        assert args.max_frame_bytes == 4096
 
     def test_drive_fault_kind_restricted(self):
         parser = build_parser()

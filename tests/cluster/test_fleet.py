@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import FleetLoad
-from repro.cluster.load import FLEET_TICK_S
+from repro.cluster.load import FLEET_CPUHOG_CORES_FRAC, FLEET_TICK_S
 from repro.rpc import ClusterNodeDaemon
 from repro.sysstat.metrics import NODE_METRICS
 from repro.sysstat.sadc import Sadc
@@ -118,6 +118,27 @@ class TestFleetTelemetry:
             load.name == "cpuhog" for load in fleet.cluster.external_loads
         )
 
+    def test_intensity_clamped(self):
+        fleet = _fleet()
+        view = fleet.view("node-01")
+        view.advance_to(1000.0)
+        cores = fleet.cluster.config.node_spec.cpu_cores
+        view.inject("cpuhog", intensity=7.5)
+        (hog,) = fleet.cluster.external_loads
+        assert hog.cpu_cores == pytest.approx(cores * FLEET_CPUHOG_CORES_FRAC)
+        view.inject("diskhog", intensity=-2.0)
+        (hog,) = fleet.cluster.external_loads
+        assert hog.disk_write_bytes_s == 0.0
+
+    def test_diskhog_raises_sector_rate(self):
+        fleet = _fleet(workload=False)
+        quiet, loud = fleet.view("node-01"), fleet.view("node-02")
+        fleet.advance_to(1000.0)
+        loud.inject("diskhog", intensity=1.0)
+        fleet.advance_to(1010.0)
+        assert loud.procfs.disk.sectors_written > \
+            quiet.procfs.disk.sectors_written * 10
+
     def test_unknown_fault_rejected(self):
         view = _fleet().view("node-01")
         with pytest.raises(ValueError, match="unknown load fault"):
@@ -135,9 +156,7 @@ class TestBufferedDaemonOverFleet:
 
     def test_buffer_then_poll_many_drains_batch(self):
         fleet = _fleet()
-        daemon = ClusterNodeDaemon(
-            "node-01", fleet.view("node-01"), buffered=True
-        )
+        daemon = ClusterNodeDaemon("node-01", fleet.view("node-01"))
         self._primed(fleet, daemon)
         batch = daemon.rpc_poll_many(1004.0, max_windows=32)
         assert batch["node_name"] == "node-01"
@@ -146,9 +165,7 @@ class TestBufferedDaemonOverFleet:
 
     def test_zero_tick_interval_emits_no_window(self):
         fleet = _fleet()
-        daemon = ClusterNodeDaemon(
-            "node-01", fleet.view("node-01"), buffered=True
-        )
+        daemon = ClusterNodeDaemon("node-01", fleet.view("node-01"))
         self._primed(fleet, daemon)
         daemon.rpc_poll_many(1004.0)
         # A sampler wakeup inside the same tick must not produce a
@@ -158,31 +175,17 @@ class TestBufferedDaemonOverFleet:
 
     def test_windows_carry_sane_idle(self):
         fleet = _fleet()
-        daemon = ClusterNodeDaemon(
-            "node-01", fleet.view("node-01"), buffered=True
-        )
+        daemon = ClusterNodeDaemon("node-01", fleet.view("node-01"))
         self._primed(fleet, daemon, seconds=6)
         batch = daemon.rpc_poll_many(1006.0)
         idles = [w["node"]["cpu_idle_pct"] for w in batch["windows"]]
         assert idles and all(0.0 < idle <= 100.0 for idle in idles)
 
-    def test_rpc_sample_serves_newest_buffered_window(self):
-        fleet = _fleet()
-        daemon = ClusterNodeDaemon(
-            "node-01", fleet.view("node-01"), buffered=True
-        )
-        self._primed(fleet, daemon)
-        sample = daemon.rpc_sample(1004.0)
-        assert sample["timestamp"] == pytest.approx(1004.0)
-        assert daemon.rpc_sample(1004.0) is None  # buffer drained
-
     def test_buffer_overflow_drops_oldest_and_counts(self):
         from repro.rpc.daemons import MAX_BUFFERED_WINDOWS
 
         fleet = _fleet(workload=False)
-        daemon = ClusterNodeDaemon(
-            "node-01", fleet.view("node-01"), buffered=True
-        )
+        daemon = ClusterNodeDaemon("node-01", fleet.view("node-01"))
         start = 1000.0
         fleet.advance_to(start)
         daemon.buffer_sample(start)
@@ -195,9 +198,7 @@ class TestBufferedDaemonOverFleet:
 
     def test_metric_names_catalog_matches_windows(self):
         fleet = _fleet()
-        daemon = ClusterNodeDaemon(
-            "node-01", fleet.view("node-01"), buffered=True
-        )
+        daemon = ClusterNodeDaemon("node-01", fleet.view("node-01"))
         self._primed(fleet, daemon)
         window = daemon.rpc_poll_many(1004.0)["windows"][0]
         assert tuple(window["node"]) == daemon.metric_names

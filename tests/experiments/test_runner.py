@@ -7,6 +7,7 @@ shared execution path make that possible.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -199,41 +200,35 @@ class TestSerialParallelParity:
         assert parity_mismatches(a, b) == ["CPUHog/t0"]
 
 
-class TestWarmPool:
-    def test_warm_results_byte_identical_and_pool_persists(self, mini_model):
-        tasks = table2_matrix(MINI, faults=("CPUHog",), trials=1)
-        try:
-            serial = run_tasks(tasks, jobs=1, model=mini_model)
-            warm = run_tasks(tasks, jobs=2, model=mini_model, warm=True)
-            assert warm.mode in ("warm-pool", "serial-fallback")
-            assert parity_mismatches(serial, warm) == []
-            if warm.mode == "warm-pool":
-                pool = runner_mod._warm_pool
-                assert pool is not None
-                again = run_tasks(tasks, jobs=2, model=mini_model, warm=True)
-                # Same pool object across calls: that is the "warm".
-                assert runner_mod._warm_pool is pool
-                assert parity_mismatches(serial, again) == []
-        finally:
-            runner_mod.shutdown_warm_pool()
-        assert runner_mod._warm_pool is None
+class TestWorkerPlacement:
+    def test_workers_start_on_distinct_cpus_then_unpin(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            runner_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+            raising=False,
+        )
+        monkeypatch.setattr(
+            runner_mod.os, "sched_setaffinity",
+            lambda pid, cpus: calls.append(set(cpus)), raising=False,
+        )
+        slots = multiprocessing.Value("i", 0)
+        for _ in range(4):
+            runner_mod._start_on_own_cpu(slots)
+        assert calls[0::2] == [{0}, {1}, {2}, {0}]
+        assert all(cpus == {0, 1, 2} for cpus in calls[1::2])
 
-    def test_env_gate_enables_warm_mode(self, monkeypatch):
-        monkeypatch.setenv(runner_mod.WARM_WORKERS_ENV, "1")
-        assert runner_mod.warm_workers_enabled()
-        monkeypatch.setenv(runner_mod.WARM_WORKERS_ENV, "0")
-        assert not runner_mod.warm_workers_enabled()
-        monkeypatch.delenv(runner_mod.WARM_WORKERS_ENV)
-        assert not runner_mod.warm_workers_enabled()
+    def test_refused_affinity_is_ignored(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("not permitted")
 
-    def test_worker_model_install_is_digest_cached(self):
-        payloads_a = json.dumps({"k": {"x": 1}}, sort_keys=True)
-        runner_mod._install_models(payloads_a)
-        first = runner_mod._worker_payloads
-        runner_mod._install_models(payloads_a)
-        assert runner_mod._worker_payloads is first  # cache hit: no re-parse
-        runner_mod._install_models(json.dumps({"k": {"x": 2}}))
-        assert runner_mod._worker_payloads is not first
+        monkeypatch.setattr(
+            runner_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+            raising=False,
+        )
+        monkeypatch.setattr(
+            runner_mod.os, "sched_setaffinity", refuse, raising=False
+        )
+        runner_mod._start_on_own_cpu(multiprocessing.Value("i", 0))
 
 
 class TestSerialFallback:

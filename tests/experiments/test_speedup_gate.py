@@ -92,7 +92,7 @@ class TestGate:
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
         baseline = write_baseline(tmp_path, {"speedup_vs_serial": 0.9})
         ok, message = check_speedup_gate(
-            report_with(1.4, jobs=2, mode="warm-pool"), baseline, slack=0.85
+            report_with(1.4, jobs=2, mode="process-pool"), baseline, slack=0.85
         )
         assert ok
         assert "PASS" in message

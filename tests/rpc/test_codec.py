@@ -221,6 +221,16 @@ class TestMalformedFrames:
         with pytest.raises(ProtocolError, match="exceeds maximum"):
             frame_length(_LENGTH.pack(1 << 30))
 
+    def test_binary_frames_honour_the_protocol_limit(self, monkeypatch):
+        from repro.rpc import protocol
+
+        frame = encode_request_frame(1, "sample", {}, None, CODEC_BINARY)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4)
+        with pytest.raises(ProtocolError, match="frame too large"):
+            encode_request_frame(1, "sample", {}, None, CODEC_BINARY)
+        with pytest.raises(ProtocolError, match="exceeds maximum"):
+            frame_length(frame)
+
     def test_frame_length_of_valid_frame(self):
         frame = encode_request_frame(1, "sample", {}, None, CODEC_BINARY)
         assert frame_length(frame) == len(frame)

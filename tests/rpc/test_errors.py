@@ -18,8 +18,7 @@ from repro.rpc import (
     RpcServer,
     decode_frame,
     encode_frame,
-    max_frame_bytes,
-    set_max_frame_bytes,
+    protocol,
 )
 
 
@@ -28,38 +27,18 @@ class ToyHandler:
         return value
 
 
-@pytest.fixture()
-def frame_limit_reset():
-    yield
-    set_max_frame_bytes(None)
-
-
 class TestFrameLimit:
-    def test_default_limit(self, frame_limit_reset, monkeypatch):
-        monkeypatch.delenv("ASDF_MAX_FRAME_BYTES", raising=False)
-        assert max_frame_bytes() == 16 * 1024 * 1024
+    def test_default_limit(self):
+        assert protocol.MAX_FRAME_BYTES == 16 * 1024 * 1024
 
-    def test_env_var_overrides_default(self, frame_limit_reset, monkeypatch):
-        monkeypatch.setenv("ASDF_MAX_FRAME_BYTES", "4096")
-        assert max_frame_bytes() == 4096
-
-    def test_explicit_override_beats_env(self, frame_limit_reset, monkeypatch):
-        monkeypatch.setenv("ASDF_MAX_FRAME_BYTES", "4096")
-        set_max_frame_bytes(64)
-        assert max_frame_bytes() == 64
-
-    def test_bad_env_value_ignored(self, frame_limit_reset, monkeypatch):
-        monkeypatch.setenv("ASDF_MAX_FRAME_BYTES", "not-a-number")
-        assert max_frame_bytes() == 16 * 1024 * 1024
-
-    def test_oversized_encode_rejected(self, frame_limit_reset):
-        set_max_frame_bytes(32)
+    def test_oversized_encode_rejected(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 32)
         with pytest.raises(ProtocolError, match="frame too large"):
             encode_frame({"blob": "x" * 100})
 
-    def test_oversized_decode_rejected(self, frame_limit_reset):
+    def test_oversized_decode_rejected(self, monkeypatch):
         frame = encode_frame({"blob": "x" * 100})
-        set_max_frame_bytes(32)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 32)
         with pytest.raises(ProtocolError, match="exceeds maximum"):
             decode_frame(frame)
 
