@@ -143,7 +143,9 @@ class SimNode:
     def end_tick(self, dt: float) -> None:
         """Fold accumulated activity plus OS noise into the counters."""
         fs = self.procfs
-        noise = self.noise.draw(dt)
+        # Python floats, so the counters stay plain floats (as the
+        # procfs dataclasses declare) rather than numpy scalars.
+        noise = self.noise.draw(dt).tolist()
         capacity = self.spec.cpu_cores * dt
 
         # Background OS activity keeps fault-free metrics non-degenerate.
@@ -246,7 +248,7 @@ class SimNode:
         fs.loadavg.runq_sz = runq
         occupancy = min(self._cpu_demand, self.spec.cpu_cores) + runq
         for i, tau in enumerate(_LOAD_TAU):
-            alpha = 1.0 - np.exp(-dt / tau)
+            alpha = 1.0 - float(np.exp(-dt / tau))
             self._loads[i] += alpha * (occupancy - self._loads[i])
         fs.loadavg.one = self._loads[0]
         fs.loadavg.five = self._loads[1]

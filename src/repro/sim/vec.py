@@ -34,7 +34,6 @@ buffers, so the random streams are identical by construction.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +52,7 @@ from ..sysstat.procfs import (
     SockStat,
     TcpCounters,
     VmCounters,
+    copy_leaf,
 )
 from .engine import CpuDemand, TickContext
 from .network import PACKET_BYTES, NetworkModel, Transfer
@@ -81,6 +81,13 @@ _PROC_GROUPS: Tuple[Tuple[str, type], ...] = (
     ("sockstat", SockStat),
     ("tcp", TcpCounters),
     ("nic", NicCounters),
+)
+
+#: ``(prefix, class, ((field, array key), ...))`` per group, so a
+#: snapshot formats no key strings.
+_PROC_KEYS = tuple(
+    (prefix, cls, tuple((f.name, f"{prefix}_{f.name}") for f in dataclass_fields(cls)))
+    for prefix, cls in _PROC_GROUPS
 )
 
 #: Per-tick accumulator arrays (the vector twins of SimNode._cpu_user &c).
@@ -431,33 +438,24 @@ class VecProcFS:
         self._fleet.proc_dirty.add(self._i)
         return proc
 
-    def _materialize(self, cls: type, prefix: str):
-        a = self._fleet.a
-        i = self._i
-        return cls(**{
-            f.name: float(a[f"{prefix}_{f.name}"][i])
-            for f in dataclass_fields(cls)
-        })
-
     def snapshot(self) -> SimProcFS:
         """A plain, detached ``SimProcFS`` copy for rate differencing."""
-        nics = {"eth0": self._materialize(NicCounters, "nic")}
+        a = self._fleet.a
+        i = self._i
+        leaves = {
+            prefix: cls(**{name: float(a[key][i]) for name, key in keys})
+            for prefix, cls, keys in _PROC_KEYS
+        }
+        nics = {"eth0": leaves.pop("nic")}
         for name, nic in self.nics.items():
             if name != "eth0":
-                nics[name] = copy.deepcopy(nic)
+                nics[name] = copy_leaf(nic)
         return SimProcFS(
             num_cpus=self.num_cpus,
-            cpu=self._materialize(CpuTicks, "cpu"),
-            disk=self._materialize(DiskCounters, "disk"),
-            vm=self._materialize(VmCounters, "vm"),
-            stat=self._materialize(KernelStat, "stat"),
-            mem=self._materialize(MemInfo, "mem"),
-            loadavg=self._materialize(LoadAvg, "loadavg"),
-            sockstat=self._materialize(SockStat, "sockstat"),
-            tcp=self._materialize(TcpCounters, "tcp"),
-            tables=copy.deepcopy(self.tables),
+            tables=copy_leaf(self.tables),
             nics=nics,
-            processes={pid: copy.copy(p) for pid, p in self.processes.items()},
+            processes={pid: copy_leaf(p) for pid, p in self.processes.items()},
+            **leaves,
         )
 
 

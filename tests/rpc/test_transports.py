@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.faults import FAULT_NAMES
 from repro.rpc import InprocChannel, RemoteError, RpcClient, RpcServer, dispatch, handler_methods
-from repro.rpc.protocol import make_request
+from repro.rpc.protocol import decode_frame, encode_frame, make_request
 
 
 class ToyHandler:
@@ -129,3 +130,92 @@ class TestInprocTransport:
 
     def test_close_is_noop(self):
         InprocChannel(ToyHandler(), "toy").close()
+
+
+def assert_json_native(value, wire, path="result"):
+    """``value`` equals its JSON round trip ``wire``, type for type."""
+    assert type(value) is type(wire), f"{path}: {type(value)} vs {type(wire)}"
+    if isinstance(value, dict):
+        assert list(value) == list(wire), path
+        for key, item in value.items():
+            assert_json_native(item, wire[key], f"{path}[{key!r}]")
+    elif isinstance(value, list):
+        assert len(value) == len(wire), path
+        for index, (item, other) in enumerate(zip(value, wire)):
+            assert_json_native(item, other, f"{path}[{index}]")
+    else:
+        assert value == wire, path
+
+
+class TestInprocFidelity:
+    """In-process results are what a TCP caller would decode.
+
+    :class:`InprocChannel` passes handler results through without a JSON
+    round trip, so every daemon served in-process must already return
+    JSON-native values.  This drives a real deployment with each fault on
+    each engine and checks every value the channels hand back, plus the
+    strace daemon wired the way an attached strace pipeline wires it.
+    """
+
+    @pytest.mark.parametrize("engine", ["scalar", "vec"])
+    @pytest.mark.parametrize("fault", FAULT_NAMES)
+    def test_deployed_daemons_return_json_native_values(
+        self, monkeypatch, engine, fault
+    ):
+        from repro.experiments import ScenarioConfig, deploy_asdf, shared_model
+        from repro.faults import FaultSpec, make_fault
+        from repro.hadoop import HadoopCluster
+        from repro.rpc.daemons import StraceDaemon
+        from repro.workloads import generate_workload
+
+        config = ScenarioConfig(num_slaves=3, duration_s=90.0, seed=3, engine=engine)
+        model = shared_model(config, training_duration_s=60.0)
+        cluster = HadoopCluster(config.cluster_config())
+        for spec in generate_workload(config.workload_config()).jobs:
+            cluster.schedule_job(spec)
+        make_fault(fault).arm(
+            cluster, FaultSpec(node="slave02", inject_time=30.0)
+        )
+        handles = deploy_asdf(cluster, model, config)
+        strace = {
+            node: InprocChannel(
+                StraceDaemon(node, cluster.procfs(node), seed=i), f"strace@{node}"
+            )
+            for i, node in enumerate(cluster.slave_names)
+        }
+
+        seen = []
+        real_call = InprocChannel.call
+
+        def spy(channel, method, trace=None, **params):
+            result = real_call(channel, method, trace=trace, **params)
+            seen.append((channel.service.split("@")[0], method, result))
+            return result
+
+        monkeypatch.setattr(InprocChannel, "call", spy)
+        while cluster.time < config.duration_s:
+            cluster.step(1.0)
+            handles.core.run_until(cluster.time)
+            for channel in strace.values():
+                channel.call("trace", now=cluster.time)
+        handles.core.close()
+
+        calls = {(service, method) for service, method, _ in seen}
+        assert calls == {
+            ("sadc_rpcd", "sample"),
+            ("hl_tt_rpcd", "collect"),
+            ("hl_dn_rpcd", "collect"),
+            ("strace", "trace"),
+        }
+        served = {
+            (service, method)
+            for service, method, result in seen if result is not None
+        }
+        assert served == calls, "every daemon must have served data"
+        assert any(
+            result["processes"] for service, _, result in seen
+            if service == "sadc_rpcd" and result is not None
+        )
+        for service, method, result in seen:
+            wire = decode_frame(encode_frame({"result": result}))[0]["result"]
+            assert_json_native(result, wire, f"{service}.{method}")

@@ -7,6 +7,9 @@ tick.  These tests pin that contract at small fleet sizes; the
 ``bench scale --check-parity`` run asserts it at N=50 and N=200.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,16 @@ def vec_cluster(num_slaves=4, seed=11):
     return HadoopCluster(
         ClusterConfig(num_slaves=num_slaves, seed=seed, engine="vec")
     )
+
+
+def busy_vec_procfs():
+    """A vec node's procfs after 30 s of jobs, with a second NIC."""
+    cluster = vec_cluster()
+    cluster.run_until(30.0)
+    procfs = cluster.procfs("slave01")
+    procfs.nic("eth1").rx_bytes += 4096.0
+    assert procfs.processes, "a busy slave must have processes"
+    return procfs
 
 
 class TestEngineSelection:
@@ -71,6 +84,31 @@ class TestViews:
         snap = cluster.procfs("slave01").snapshot()
         for proc in snap.processes.values():
             assert type(proc) is ProcessStat
+
+    def test_snapshot_equals_deepcopy_of_scalar_twin(self):
+        """Equal to a deepcopy of the scalar engine's procfs, same tick."""
+        scalar = HadoopCluster(ClusterConfig(num_slaves=4, seed=11))
+        vec = vec_cluster()
+        for cluster in (scalar, vec):
+            cluster.run_until(30.0)
+            cluster.procfs("slave01").nic("eth1").rx_bytes += 4096.0
+        expected = copy.deepcopy(scalar.procfs("slave01"))
+        assert expected.processes
+        snap = vec.procfs("slave01").snapshot()
+        assert dataclasses.asdict(snap) == dataclasses.asdict(expected)
+
+    def test_snapshot_detached_from_live_state(self):
+        procfs = busy_vec_procfs()
+        snap = procfs.snapshot()
+        frozen = dataclasses.asdict(snap)
+        pid = next(iter(procfs.processes))
+        procfs.cpu.user += 10.0
+        procfs.tables.file_nr += 1.0
+        procfs.processes[pid].utime += 1.0
+        procfs.nic("eth0").tx_bytes += 1000.0
+        procfs.nic("eth1").rx_bytes += 1000.0
+        procfs.process(99999, "late")
+        assert dataclasses.asdict(snap) == frozen
 
     def test_node_end_tick_is_fleet_only(self):
         """Per-node end_tick is replaced by FleetState.end_tick_all."""

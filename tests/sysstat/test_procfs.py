@@ -1,6 +1,20 @@
 """Tests for the simulated /proc state."""
 
+import copy
+import dataclasses
+
+from repro.hadoop import ClusterConfig, HadoopCluster
 from repro.sysstat import SimProcFS
+
+
+def busy_procfs():
+    """A scalar node's procfs after 30 s of jobs, with a second NIC."""
+    cluster = HadoopCluster(ClusterConfig(num_slaves=3, seed=5))
+    cluster.run_until(30.0)
+    fs = cluster.procfs("slave01")
+    fs.nic("eth1").rx_bytes += 4096.0
+    assert fs.processes, "a busy slave must have processes"
+    return fs
 
 
 class TestSimProcFS:
@@ -8,15 +22,26 @@ class TestSimProcFS:
         fs = SimProcFS()
         assert "eth0" in fs.nics
 
-    def test_snapshot_is_deep_copy(self):
-        fs = SimProcFS()
+    def test_snapshot_equals_deepcopy(self):
+        fs = busy_procfs()
         snap = fs.snapshot()
+        assert type(snap) is SimProcFS
+        assert dataclasses.asdict(snap) == dataclasses.asdict(copy.deepcopy(fs))
+
+    def test_snapshot_is_deep_copy(self):
+        """Later increments, new processes and new NICs never reach it."""
+        fs = busy_procfs()
+        snap = fs.snapshot()
+        frozen = dataclasses.asdict(snap)
+        pid = next(iter(fs.processes))
         fs.cpu.user += 10.0
-        fs.nic("eth0").rx_bytes += 1000.0
-        fs.process(1, "init").utime += 1.0
-        assert snap.cpu.user == 0.0
-        assert snap.nic("eth0").rx_bytes == 0.0
-        assert 1 not in snap.processes
+        fs.tables.file_nr += 1.0
+        fs.processes[pid].utime += 1.0
+        fs.nic("eth0").tx_bytes += 1000.0
+        fs.nic("eth1").rx_bytes += 1000.0
+        fs.process(99999, "late")
+        fs.nic("eth2")
+        assert dataclasses.asdict(snap) == frozen
 
     def test_nic_creates_on_demand(self):
         fs = SimProcFS()
